@@ -100,9 +100,8 @@ Status DecodeRecordReply(BinaryReader* in, Status* status,
 
 /// EVENT_BATCH payload: u32 count, then exactly count concatenated 64-byte
 /// event payloads — each entry is byte-identical to a kEvent payload, so
-/// batching never re-encodes events. Old peers that don't know the type
-/// reject the frame at the header (their DecodeFrameHeader range check),
-/// which is why senders gate it on NodeChannel::kFeatureEventBatch.
+/// batching never re-encodes events. Every TcpServer decodes it and
+/// advertises NodeChannel::kFeatureEventBatch in its hello reply.
 inline constexpr std::size_t kEventBatchEntrySize = 64;
 /// Largest count a well-formed EVENT_BATCH payload can announce.
 inline constexpr std::uint32_t kMaxEventBatchCount =

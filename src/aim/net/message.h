@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <functional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "aim/common/status.h"
@@ -14,15 +15,30 @@
 namespace aim {
 
 /// Completion slot for an event submission. The submitter owns it and polls
-/// (or blocks on) `done`; the storage node's ESP thread fills it in. This
-/// models the synchronous ESP <-> storage interaction of the paper (§4.2)
-/// without a per-request heap allocation.
+/// (or blocks on) `done`, or installs `on_complete` to be called instead;
+/// the storage node's ESP thread fills it in. This models the synchronous
+/// ESP <-> storage interaction of the paper (§4.2) without a per-request
+/// heap allocation.
 struct EventCompletion {
   std::atomic<bool> done{false};
   Status status;
   std::vector<std::uint32_t> fired_rules;
   std::int64_t submit_nanos = 0;    // set by the submitter
   std::int64_t complete_nanos = 0;  // set by the ESP thread
+  /// Optional hook, set by the submitter before submission and run once by
+  /// Complete() on the completer's thread. It must not block for long: it
+  /// runs on a node's ESP thread (TcpServer writes the event reply here).
+  std::function<void()> on_complete;
+
+  /// The completer's one exit: publishes status/fired_rules/complete_nanos
+  /// (filled in before the call) by storing `done`, then runs the hook. The
+  /// hook is taken out *before* `done` is stored, because the submitter may
+  /// reuse or free the slot the moment it sees `done`.
+  void Complete() {
+    std::function<void()> hook = std::exchange(on_complete, nullptr);
+    done.store(true, std::memory_order_release);
+    if (hook) hook();
+  }
 
   void Reset() {
     // relaxed: Reset must not race with an in-flight completion anyway
@@ -32,6 +48,7 @@ struct EventCompletion {
     fired_rules.clear();
     submit_nanos = 0;
     complete_nanos = 0;
+    on_complete = nullptr;
   }
 
   /// Unbounded wait — only safe when the completer provably cannot

@@ -186,7 +186,7 @@ void TcpClient::FailPending(std::vector<Pending> pending,
     if (p.completion != nullptr) {
       p.completion->status = status;
       p.completion->fired_rules.clear();
-      p.completion->done.store(true, std::memory_order_release);
+      p.completion->Complete();
     } else if (p.query_reply) {
       p.query_reply({});  // empty payload = failed, the shutdown idiom
     } else if (p.record_reply) {
@@ -259,31 +259,25 @@ std::size_t TcpClient::SubmitEventBatch(std::vector<EventMessage>&& batch) {
   {
     MutexLock lock(mu_);
     if (!EnsureConnectedLocked().ok()) return 0;
-    const bool server_batches =
-        (info_.features & kFeatureEventBatch) != 0;
     bool writer_ok = true;
 
     // Pending run of fire-and-forget events, shipped as one EVENT_BATCH
-    // frame where the server understands it.
+    // frame (a lone event as a plain kEvent frame, 4 bytes smaller).
     std::vector<EventMessage> run;
     auto ship_run = [&]() {
       if (run.empty() || !writer_ok) return;
-      if (server_batches && run.size() > 1) {
+      if (run.size() > 1) {
         BinaryWriter payload;
         EncodeEventBatch(run, &payload);
         writer_ok = EnqueueFrameLocked(
             FrameType::kEventBatch, kFlagNoReply, /*request_id=*/0,
             payload.buffer().data(), payload.size(), &should_flush);
-        if (writer_ok) accepted += run.size();
       } else {
-        for (EventMessage& msg : run) {
-          writer_ok = EnqueueFrameLocked(
-              FrameType::kEvent, kFlagNoReply, /*request_id=*/0,
-              msg.bytes.data(), msg.bytes.size(), &should_flush);
-          if (!writer_ok) break;
-          ++accepted;
-        }
+        writer_ok = EnqueueFrameLocked(
+            FrameType::kEvent, kFlagNoReply, /*request_id=*/0,
+            run[0].bytes.data(), run[0].bytes.size(), &should_flush);
       }
+      if (writer_ok) accepted += run.size();
       run.clear();
     };
 
@@ -447,7 +441,7 @@ void TcpClient::DispatchReply(const FrameHeader& header,
       }
       pending.completion->status = std::move(status);
       pending.completion->fired_rules = std::move(fired);
-      pending.completion->done.store(true, std::memory_order_release);
+      pending.completion->Complete();
       return;
     }
     case FrameType::kQueryReply: {

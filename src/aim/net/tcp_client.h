@@ -73,10 +73,8 @@ class TcpClient : public NodeChannel {
   bool SubmitEvent(std::vector<std::uint8_t> event_bytes,
                    EventCompletion* completion) override;
   /// Batched submission. Runs of fire-and-forget events ship as one
-  /// EVENT_BATCH frame when the server advertised kFeatureEventBatch
-  /// (falling back to per-event kEvent frames against old servers);
-  /// reply-wanted events always use per-event frames so each keeps its
-  /// exact per-event reply. Either way all frames of the batch enter the
+  /// EVENT_BATCH frame; reply-wanted events use per-event frames so each
+  /// keeps its exact per-event reply. All frames of the batch enter the
   /// coalescing writer under one lock hold and typically leave in one
   /// writev.
   std::size_t SubmitEventBatch(std::vector<EventMessage>&& batch) override;

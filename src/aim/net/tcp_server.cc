@@ -1,10 +1,12 @@
 #include "aim/net/tcp_server.h"
 
 #include <chrono>
+#include <utility>
 
 #include "aim/common/logging.h"
 #include "aim/common/thread_name.h"
 #include "aim/esp/event.h"
+#include "aim/net/coalescing_writer.h"
 #include "aim/net/frame_assembler.h"
 
 namespace aim {
@@ -25,11 +27,97 @@ std::int64_t MonoMillis() {
 }
 }  // namespace
 
+/// The socket lives here so a reply arriving after the handler thread
+/// exited still refers to a reserved (if shut down) fd, never a recycled
+/// one. Reply closures hold only this state, never the server.
+struct TcpServer::ConnectionState {
+  /// Serializes one frame and queues it on the coalescing writer, flushing
+  /// when elected. Any write failure marks the connection closed.
+  void WriteFrame(FrameType type, std::uint64_t request_id,
+                  const BinaryWriter& payload);
+
+  Socket sock;
+  /// Reply frames from the handler and the node's service threads are
+  /// coalesced per connection: whoever is elected flusher gather-writes
+  /// everything queued meanwhile with one writev.
+  CoalescingWriter writer;
+  std::int64_t io_timeout_millis = 0;
+  /// The server's private registry, if it has one: the writer's metrics
+  /// live there.
+  std::shared_ptr<MetricsRegistry> own_metrics;
+  std::atomic<bool> open{true};
+  std::atomic<bool> done{false};  // handler thread exited
+};
+
+/// Owns the completions of one reply-wanted frame's events plus one
+/// reference per completion and one for the submitting handler. Each
+/// completion's hook drops its reference; whoever drops the last one — the
+/// ESP thread completing the last event, or the handler if every event
+/// completed or was refused before Submit* returned — writes the frame's
+/// single kEventReply and frees the ticket.
+struct TcpServer::EventReplyTicket {
+  EventReplyTicket(std::shared_ptr<ConnectionState> conn, std::uint64_t id,
+                   bool single_event, std::size_t events)
+      : state(std::move(conn)),
+        request_id(id),
+        per_event(single_event),
+        completions(events),
+        refs(events + 1) {
+    for (EventCompletion& c : completions) {
+      c.on_complete = [this] { Release(1); };
+    }
+  }
+
+  /// The handler's last touch, once Submit* accepted a prefix of
+  /// `accepted_events`. A channel may set `done` inside Submit* without
+  /// Complete(); such completions still hold their hook, so run it here.
+  /// The acquire load orders this after any Complete(), which takes its
+  /// hook out before it stores `done`. Unaccepted events are never
+  /// completed: their references go with the handler's own.
+  void Submitted(std::size_t accepted_events) {
+    accepted = accepted_events;
+    for (std::size_t i = 0; i < accepted; ++i) {
+      EventCompletion& c = completions[i];
+      if (c.done.load(std::memory_order_acquire) && c.on_complete) {
+        std::exchange(c.on_complete, nullptr)();
+      }
+    }
+    Release(completions.size() - accepted + 1);
+  }
+
+  void Release(std::size_t n) {
+    if (refs.fetch_sub(n, std::memory_order_acq_rel) != n) return;
+    // A kEvent reply carries the event's fired rules; an EVENT_BATCH reply
+    // carries the first failure. Either way a shortfall is Shutdown.
+    Status status = accepted < completions.size()
+                        ? Status::Shutdown("node stopped")
+                        : Status::OK();
+    for (const EventCompletion& c : completions) {
+      if (!status.ok()) break;
+      status = c.status;
+    }
+    BinaryWriter reply;
+    EncodeEventReply(status,
+                     per_event && status.ok() ? completions[0].fired_rules
+                                              : std::vector<std::uint32_t>{},
+                     &reply);
+    state->WriteFrame(FrameType::kEventReply, request_id, reply);
+    delete this;
+  }
+
+  std::shared_ptr<ConnectionState> state;
+  std::uint64_t request_id;
+  bool per_event;
+  std::size_t accepted = 0;  // written by the handler before its Release
+  std::vector<EventCompletion> completions;
+  std::atomic<std::size_t> refs;
+};
+
 TcpServer::TcpServer(NodeChannel* node, const Options& options)
     : node_(node), options_(options) {
   metrics_ = options_.metrics;
   if (metrics_ == nullptr) {
-    own_metrics_ = std::make_unique<MetricsRegistry>();
+    own_metrics_ = std::make_shared<MetricsRegistry>();
     metrics_ = own_metrics_.get();
   }
 }
@@ -128,6 +216,8 @@ void TcpServer::AcceptLoop() {
     }
     auto state = std::make_shared<ConnectionState>();
     state->sock = std::move(accepted).value();
+    state->io_timeout_millis = options_.io_timeout_millis;
+    state->own_metrics = own_metrics_;
     CoalescingWriter::Metrics wm;
     wm.frames_sent = frames_sent_;
     wm.bytes_sent = bytes_sent_;
@@ -145,22 +235,21 @@ void TcpServer::AcceptLoop() {
   }
 }
 
-void TcpServer::WriteFrame(ConnectionState* state, FrameType type,
-                           std::uint64_t request_id,
-                           const BinaryWriter& payload) {
-  if (!state->open.load(std::memory_order_acquire)) return;
+void TcpServer::ConnectionState::WriteFrame(FrameType type,
+                                            std::uint64_t request_id,
+                                            const BinaryWriter& payload) {
+  if (!open.load(std::memory_order_acquire)) return;
   bool should_flush = false;
-  if (!state->writer.Enqueue(
-          BuildFrame(type, 0, request_id, payload.buffer().data(),
-                     payload.size()),
-          &should_flush)) {
+  if (!writer.Enqueue(BuildFrame(type, 0, request_id, payload.buffer().data(),
+                                 payload.size()),
+                      &should_flush)) {
     return;  // writer already failed; the connection is going down
   }
   if (!should_flush) return;  // an active flusher will carry this frame
-  Status st = state->writer.Flush(state->sock, options_.io_timeout_millis);
+  Status st = writer.Flush(sock, io_timeout_millis);
   if (!st.ok()) {
-    state->open.store(false, std::memory_order_release);
-    state->sock.ShutdownBoth();
+    open.store(false, std::memory_order_release);
+    sock.ShutdownBoth();
   }
 }
 
@@ -235,9 +324,32 @@ void TcpServer::ServeConnection(std::shared_ptr<ConnectionState> state) {
   state->done.store(true, std::memory_order_release);
 }
 
+void TcpServer::SubmitWithReply(const std::shared_ptr<ConnectionState>& state,
+                                std::uint64_t request_id, bool per_event,
+                                std::vector<std::vector<std::uint8_t>>&& events) {
+  auto* ticket =
+      new EventReplyTicket(state, request_id, per_event, events.size());
+  std::size_t accepted = 0;
+  if (per_event) {
+    accepted = node_->SubmitEvent(std::move(events[0]),
+                                  &ticket->completions[0])
+                   ? 1
+                   : 0;
+  } else {
+    std::vector<EventMessage> batch(events.size());
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      batch[i].bytes = std::move(events[i]);
+      batch[i].completion = &ticket->completions[i];
+    }
+    accepted = node_->SubmitEventBatch(std::move(batch));
+  }
+  ticket->Submitted(accepted);
+}
+
 void TcpServer::HandleFrame(const std::shared_ptr<ConnectionState>& state,
                             const FrameHeader& header,
                             std::vector<std::uint8_t>&& payload) {
+  const bool wants_reply = (header.flags & kFlagNoReply) == 0;
   switch (header.type) {
     case FrameType::kHello: {
       std::uint32_t version = 0;
@@ -253,8 +365,7 @@ void TcpServer::HandleFrame(const std::shared_ptr<ConnectionState>& state,
       NodeChannel::NodeInfo info = node_->info();
       info.features |= NodeChannel::kFeatureEventBatch;
       EncodeHelloReply(info, &reply);
-      WriteFrame(state.get(), FrameType::kHelloReply, header.request_id,
-                 reply);
+      state->WriteFrame(FrameType::kHelloReply, header.request_id, reply);
       break;
     }
 
@@ -266,33 +377,23 @@ void TcpServer::HandleFrame(const std::shared_ptr<ConnectionState>& state,
         // here with the honest verdict; framing is intact, so the
         // connection survives.
         frame_errors_->Add();
-        if ((header.flags & kFlagNoReply) == 0) {
+        if (wants_reply) {
           BinaryWriter reply;
           EncodeEventReply(Status::InvalidArgument("malformed event"), {},
                            &reply);
-          WriteFrame(state.get(), FrameType::kEventReply, header.request_id,
-                     reply);
+          state->WriteFrame(FrameType::kEventReply, header.request_id,
+                            reply);
         }
         break;
       }
-      if ((header.flags & kFlagNoReply) != 0) {
+      if (!wants_reply) {
         node_->SubmitEvent(std::move(payload), nullptr);
         break;
       }
-      EventCompletion completion;
-      BinaryWriter reply;
-      if (!node_->SubmitEvent(std::move(payload), &completion)) {
-        EncodeEventReply(Status::Shutdown("node stopped"), {}, &reply);
-      } else {
-        // Unbounded wait is safe here: the channel is the in-process
-        // node, which always drains its queue (even through Stop), so
-        // the completion cannot be abandoned. The *client* bounds the
-        // round trip with its own request deadline.
-        completion.Wait();
-        EncodeEventReply(completion.status, completion.fired_rules, &reply);
-      }
-      WriteFrame(state.get(), FrameType::kEventReply, header.request_id,
-                 reply);
+      std::vector<std::vector<std::uint8_t>> events(1);
+      events[0] = std::move(payload);
+      SubmitWithReply(state, header.request_id, /*per_event=*/true,
+                      std::move(events));
       break;
     }
 
@@ -305,62 +406,36 @@ void TcpServer::HandleFrame(const std::shared_ptr<ConnectionState>& state,
         state->open.store(false, std::memory_order_release);
         break;
       }
-      if ((header.flags & kFlagNoReply) != 0) {
-        std::vector<EventMessage> batch;
-        batch.reserve(events.size());
-        for (std::vector<std::uint8_t>& bytes : events) {
-          EventMessage msg;
-          msg.bytes = std::move(bytes);
-          batch.push_back(std::move(msg));
-        }
-        node_->SubmitEventBatch(std::move(batch));
+      if (wants_reply) {
+        // One aggregated kEventReply: the first failure's status, no fired
+        // rules (clients needing per-event replies use per-event frames).
+        SubmitWithReply(state, header.request_id, /*per_event=*/false,
+                        std::move(events));
         break;
       }
-      // Reply-wanted batch: per-event completions on the node, one
-      // aggregated kEventReply (first failure's status, no fired rules
-      // — clients needing per-event replies use per-event frames).
-      std::vector<EventCompletion> completions(events.size());
-      std::vector<EventMessage> batch;
-      batch.reserve(events.size());
+      std::vector<EventMessage> batch(events.size());
       for (std::size_t i = 0; i < events.size(); ++i) {
-        EventMessage msg;
-        msg.bytes = std::move(events[i]);
-        msg.completion = &completions[i];
-        batch.push_back(std::move(msg));
+        batch[i].bytes = std::move(events[i]);
       }
-      const std::size_t accepted = node_->SubmitEventBatch(std::move(batch));
-      Status agg = accepted == completions.size()
-                       ? Status::OK()
-                       : Status::Shutdown("node stopped");
-      for (std::size_t i = 0; i < accepted; ++i) {
-        completions[i].Wait();  // in-process node: guaranteed to drain
-        if (agg.ok() && !completions[i].status.ok()) {
-          agg = completions[i].status;
-        }
-      }
-      BinaryWriter reply;
-      EncodeEventReply(agg, {}, &reply);
-      WriteFrame(state.get(), FrameType::kEventReply, header.request_id,
-                 reply);
+      node_->SubmitEventBatch(std::move(batch));
       break;
     }
 
     case FrameType::kQuery: {
-      // Replies are written asynchronously from the node's RTA
-      // coordinator thread; the shared_ptr keeps the connection state
-      // alive however late the reply lands.
+      // Replies are written from the node's RTA coordinator thread; the
+      // shared_ptr keeps the connection state alive however late the
+      // reply lands.
       const std::uint64_t request_id = header.request_id;
       const bool accepted = node_->SubmitQuery(
           std::move(payload),
-          [this, state, request_id](std::vector<std::uint8_t>&& bytes) {
+          [state, request_id](std::vector<std::uint8_t>&& bytes) {
             BinaryWriter reply;
             if (!bytes.empty()) reply.PutBytes(bytes.data(), bytes.size());
-            WriteFrame(state.get(), FrameType::kQueryReply, request_id,
-                       reply);
+            state->WriteFrame(FrameType::kQueryReply, request_id, reply);
           });
       if (!accepted) {
-        WriteFrame(state.get(), FrameType::kQueryReply, header.request_id,
-                   BinaryWriter());
+        state->WriteFrame(FrameType::kQueryReply, header.request_id,
+                          BinaryWriter());
       }
       break;
     }
@@ -373,23 +448,21 @@ void TcpServer::HandleFrame(const std::shared_ptr<ConnectionState>& state,
         BinaryWriter reply;
         EncodeRecordReply(Status::InvalidArgument("malformed record request"),
                           {}, 0, &reply);
-        WriteFrame(state.get(), FrameType::kRecordReply, header.request_id,
-                   reply);
+        state->WriteFrame(FrameType::kRecordReply, header.request_id, reply);
         break;
       }
       const std::uint64_t request_id = header.request_id;
-      request.reply = [this, state, request_id](
-                          Status st_reply, std::vector<std::uint8_t>&& row,
-                          Version version) {
+      request.reply = [state, request_id](Status st_reply,
+                                          std::vector<std::uint8_t>&& row,
+                                          Version version) {
         BinaryWriter reply;
         EncodeRecordReply(st_reply, row, version, &reply);
-        WriteFrame(state.get(), FrameType::kRecordReply, request_id, reply);
+        state->WriteFrame(FrameType::kRecordReply, request_id, reply);
       };
       if (!node_->SubmitRecordRequest(std::move(request))) {
         BinaryWriter reply;
         EncodeRecordReply(Status::Shutdown("node stopped"), {}, 0, &reply);
-        WriteFrame(state.get(), FrameType::kRecordReply, header.request_id,
-                   reply);
+        state->WriteFrame(FrameType::kRecordReply, header.request_id, reply);
       }
       break;
     }

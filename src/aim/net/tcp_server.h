@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "aim/common/annotated_mutex.h"
-#include "aim/net/coalescing_writer.h"
 #include "aim/net/frame.h"
 #include "aim/net/node_channel.h"
 #include "aim/net/socket.h"
@@ -25,17 +24,21 @@ namespace net {
 ///
 /// Threading: one accept thread plus one handler thread per connection
 /// (bounded by Options::max_connections; excess connections are refused by
-/// an immediate close). Event frames that want a reply are served
-/// synchronously on the handler thread; query and record replies are
-/// written asynchronously from the node's service threads under a
-/// per-connection write lock, so one connection can have many requests in
-/// flight. Clients that need event and query traffic to never head-of-line
-/// block each other use one connection per traffic class (TcpClient does).
+/// an immediate close). The handler only reads and submits: every reply —
+/// event, query, record — is written asynchronously by whichever thread
+/// completes the request (the node's ESP thread for events and records,
+/// its RTA coordinator for queries), coalesced per connection. So one
+/// connection carries any number of requests in flight, replies may arrive
+/// out of request order (clients route them by request id), and a query
+/// never waits behind an event batch on the same connection — TcpClient
+/// sends both over its one connection.
 ///
 /// Lifecycle: Start binds and serves; Stop refuses new work, wakes every
-/// blocked thread and joins them. Stop the server before or after the
-/// node — both orders are safe because an in-process node always drains
-/// its queues (completions and replies are guaranteed).
+/// blocked thread and joins them. Stop (or destroy) the server before or
+/// after the node: replies land on per-connection state the reply closures
+/// share, never on the server, and a closed connection drops them. The
+/// node must still complete everything it accepted — an in-process node
+/// drains its queues on Stop — or the reply state of that request leaks.
 class TcpServer {
  public:
   struct Options {
@@ -65,19 +68,11 @@ class TcpServer {
   std::uint16_t port() const { return port_; }
 
  private:
-  /// Per-connection state shared with asynchronous reply writers. The
-  /// socket lives here so a query reply arriving after the handler thread
-  /// exited still refers to a reserved (if shut down) fd, never a recycled
-  /// one.
-  struct ConnectionState {
-    Socket sock;
-    /// Reply frames from the handler and the node's service threads are
-    /// coalesced per connection: whoever is elected flusher gather-writes
-    /// everything queued meanwhile with one writev.
-    CoalescingWriter writer;
-    std::atomic<bool> open{true};
-    std::atomic<bool> done{false};  // handler thread exited
-  };
+  /// Per-connection state shared with the asynchronous reply writers
+  /// (defined in the .cc).
+  struct ConnectionState;
+  /// One reply-wanted event frame in flight (defined in the .cc).
+  struct EventReplyTicket;
 
   struct Connection {
     std::shared_ptr<ConnectionState> state;
@@ -93,11 +88,11 @@ class TcpServer {
   void HandleFrame(const std::shared_ptr<ConnectionState>& state,
                    const FrameHeader& header,
                    std::vector<std::uint8_t>&& payload);
-  /// Serializes one frame and queues it on the connection's coalescing
-  /// writer (flushing when elected). Any write failure marks the
-  /// connection closed.
-  void WriteFrame(ConnectionState* state, FrameType type,
-                  std::uint64_t request_id, const BinaryWriter& payload);
+  /// Submits the events of one reply-wanted kEvent (`per_event`) or
+  /// EVENT_BATCH frame under a reply ticket and returns at once.
+  void SubmitWithReply(const std::shared_ptr<ConnectionState>& state,
+                       std::uint64_t request_id, bool per_event,
+                       std::vector<std::vector<std::uint8_t>>&& events);
   void PruneFinished() AIM_EXCLUDES(connections_mu_);
 
   NodeChannel* node_;
@@ -111,7 +106,9 @@ class TcpServer {
   Mutex connections_mu_;
   std::vector<Connection> connections_ AIM_GUARDED_BY(connections_mu_);
 
-  std::unique_ptr<MetricsRegistry> own_metrics_;
+  /// Shared with every connection: a reply that lands after the server is
+  /// gone still counts into live metrics.
+  std::shared_ptr<MetricsRegistry> own_metrics_;
   MetricsRegistry* metrics_ = nullptr;
   Counter* frames_received_ = nullptr;
   Counter* frames_sent_ = nullptr;

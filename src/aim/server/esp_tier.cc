@@ -249,7 +249,7 @@ void EspTierNode::WorkerLoop(Worker* worker) {
         queued.completion->status = result;
         queued.completion->fired_rules = matched;
         queued.completion->complete_nanos = NowNanos();
-        queued.completion->done.store(true, std::memory_order_release);
+        queued.completion->Complete();
       }
       event_buffers_.Release(std::move(queued.bytes));
     }

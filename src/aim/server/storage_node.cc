@@ -443,7 +443,7 @@ void StorageNode::EspLoop(EspThreadState* state) {
             state->pending_acks.push_back(msg.completion);
           } else {
             msg.completion->complete_nanos = complete_nanos;
-            msg.completion->done.store(true, std::memory_order_release);
+            msg.completion->Complete();
           }
         }
         event_buffers_.Release(std::move(msg.bytes));
@@ -501,7 +501,7 @@ void StorageNode::FlushPendingAcks(EspThreadState* state) {
   const std::int64_t now = MonotonicNanos();
   for (EventCompletion* completion : state->pending_acks) {
     completion->complete_nanos = now;
-    completion->done.store(true, std::memory_order_release);
+    completion->Complete();
   }
   state->pending_acks.clear();
   state->last_flush_nanos = now;

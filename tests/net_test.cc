@@ -1,19 +1,24 @@
 // Frame-protocol and TCP-transport tests: codec round trips (including the
 // malformed-input paths through BinaryReader's sticky error), the loopback
-// end-to-end path TcpClient -> TcpServer -> StorageNode, and the client's
-// robustness contract — deadlines, disconnect handling and reconnect.
+// end-to-end path TcpClient -> TcpServer -> StorageNode, the routing of
+// asynchronous replies that overtake each other on one connection, and the
+// client's robustness contract — deadlines, disconnect handling and
+// reconnect.
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "aim/common/annotated_mutex.h"
 #include "aim/common/logging.h"
 #include "aim/esp/event.h"
 #include "aim/net/coalescing_writer.h"
@@ -897,73 +902,6 @@ TEST_F(NetLoopbackTest, MixedBatchesSinglesAndQueriesOnOneConnection) {
   client->Close();
 }
 
-TEST_F(NetLoopbackTest, NewClientFallsBackToPerEventFramesOnOldServer) {
-  std::atomic<int> event_frames{0};
-  std::atomic<int> batch_frames{0};
-  std::atomic<bool> done{false};
-
-  StatusOr<net::Socket> listener = net::TcpListen("127.0.0.1", 0, 4);
-  ASSERT_TRUE(listener.ok());
-  const std::uint16_t port = *net::LocalPort(*listener);
-  // A pre-EVENT_BATCH server: its hello reply stops at the version-1 fields
-  // (no capability word), and it only counts what it receives.
-  std::thread old_server([&] {
-    StatusOr<net::Socket> conn = net::Accept(*listener, 10'000);
-    if (!conn.ok()) return;
-    auto read_frame = [&](FrameHeader* header,
-                          std::vector<std::uint8_t>* payload) {
-      std::uint8_t hb[kFrameHeaderSize];
-      if (!net::RecvAll(*conn, hb, kFrameHeaderSize, 5000).ok()) return false;
-      if (!DecodeFrameHeader(hb, header).ok()) return false;
-      payload->resize(header->payload_size);
-      return payload->empty() ||
-             net::RecvAll(*conn, payload->data(), payload->size(), 5000).ok();
-    };
-    FrameHeader header;
-    std::vector<std::uint8_t> payload;
-    if (!read_frame(&header, &payload)) return;  // hello
-    BinaryWriter reply;
-    reply.PutU32(net::kProtocolVersion);
-    reply.PutU32(0);   // node_id
-    reply.PutU32(1);   // num_partitions
-    reply.PutU32(64);  // record_size — and nothing after it
-    const std::vector<std::uint8_t> frame =
-        BuildFrame(FrameType::kHelloReply, 0, header.request_id,
-                   reply.buffer().data(), reply.size());
-    if (!net::SendAll(*conn, frame.data(), frame.size(), 5000).ok()) return;
-    while (!done.load(std::memory_order_acquire)) {
-      if (!read_frame(&header, &payload)) return;
-      if (header.type == FrameType::kEvent) ++event_frames;
-      if (header.type == FrameType::kEventBatch) ++batch_frames;
-    }
-  });
-
-  auto client = MakeClient(port);
-  ASSERT_TRUE(client->Connect().ok());
-  EXPECT_EQ(client->info().features, 0u);
-
-  std::vector<EventMessage> batch;
-  for (int i = 0; i < 10; ++i) {
-    EventMessage msg;
-    msg.bytes = SerializedEvent(1 + i);
-    batch.push_back(std::move(msg));
-  }
-  // The feature gate must downgrade the whole batch to per-event frames the
-  // old server can parse — never an EVENT_BATCH it would drop on.
-  ASSERT_EQ(client->SubmitEventBatch(std::move(batch)), 10u);
-  for (int attempt = 0; attempt < 2000 && event_frames.load() < 10;
-       ++attempt) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  EXPECT_EQ(event_frames.load(), 10);
-  EXPECT_EQ(batch_frames.load(), 0);
-  done.store(true, std::memory_order_release);
-  client->Close();
-  listener->ShutdownBoth();
-  old_server.join();
-  listener->Close();
-}
-
 TEST_F(NetLoopbackTest, OldStylePerEventClientStillServed) {
   StartNode();
   StartServer();
@@ -1014,6 +952,367 @@ TEST_F(NetLoopbackTest, OldStylePerEventClientStillServed) {
   ASSERT_TRUE(net::DecodeEventReply(&er, &status, &fired).ok());
   EXPECT_TRUE(status.ok()) << status.message();
   raw->Close();
+}
+
+// --- asynchronous reply routing ---------------------------------------------
+// Event replies are written by whichever thread completes the last event of
+// a frame, so replies on one connection may overtake each other. These tests
+// hold events back in a scripted node and check that nothing queues behind
+// them and that every reply reaches its own request.
+
+std::vector<std::uint8_t> EventBytes(EntityId caller) {
+  Event event;
+  event.caller = caller;
+  event.callee = caller + 1;
+  BinaryWriter w;
+  event.Serialize(&w);
+  return w.TakeBuffer();
+}
+
+/// Scripted node. Accepted events are held until Release(), which completes
+/// them on the calling thread through EventCompletion::Complete with
+/// fired_rules = {caller}; or, with complete_inline, they are completed
+/// inside Submit* by storing `done` directly (no Complete). Queries are
+/// answered at once with their own bytes unless hold_queries, then they
+/// wait for Release() too. SubmitEventBatch accepts at most accept_limit
+/// events.
+class ScriptedChannel : public NodeChannel {
+ public:
+  NodeInfo info() const override {
+    NodeInfo i;
+    i.num_partitions = 1;
+    return i;
+  }
+
+  bool SubmitEvent(std::vector<std::uint8_t> bytes,
+                   EventCompletion* completion) override {
+    std::vector<EventMessage> one(1);
+    one[0].bytes = std::move(bytes);
+    one[0].completion = completion;
+    return SubmitEventBatch(std::move(one)) == 1;
+  }
+
+  std::size_t SubmitEventBatch(std::vector<EventMessage>&& batch) override {
+    MutexLock lock(mu_);
+    const std::size_t n = std::min(batch.size(), accept_limit.load());
+    for (std::size_t i = 0; i < n; ++i) {
+      if (complete_inline) {
+        Fill(batch[i]);
+        if (batch[i].completion != nullptr) {
+          batch[i].completion->done.store(true, std::memory_order_release);
+        }
+      } else {
+        held_events_.push_back(std::move(batch[i]));
+      }
+    }
+    return n;
+  }
+
+  bool SubmitQuery(
+      std::vector<std::uint8_t> bytes,
+      std::function<void(std::vector<std::uint8_t>&&)> reply) override {
+    {
+      MutexLock lock(mu_);
+      if (hold_queries) {
+        held_queries_.emplace_back(std::move(bytes), std::move(reply));
+        return true;
+      }
+    }
+    reply(std::move(bytes));
+    return true;
+  }
+
+  bool SubmitRecordRequest(RecordRequest) override { return false; }
+
+  std::size_t held() const {
+    MutexLock lock(mu_);
+    return held_events_.size() + held_queries_.size();
+  }
+
+  /// Waits (bounded) until `n` events and queries are held.
+  bool AwaitHeld(std::size_t n) const {
+    for (int i = 0; i < 5000 && held() < n; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return held() == n;
+  }
+
+  void Release() {
+    std::vector<EventMessage> events;
+    std::vector<std::pair<std::vector<std::uint8_t>,
+                          std::function<void(std::vector<std::uint8_t>&&)>>>
+        queries;
+    {
+      MutexLock lock(mu_);
+      events.swap(held_events_);
+      queries.swap(held_queries_);
+    }
+    for (EventMessage& msg : events) {
+      Fill(msg);
+      if (msg.completion != nullptr) msg.completion->Complete();
+    }
+    for (auto& [bytes, reply] : queries) reply(std::move(bytes));
+  }
+
+  std::atomic<std::size_t> accept_limit{
+      std::numeric_limits<std::size_t>::max()};
+  bool complete_inline = false;
+  bool hold_queries = false;
+
+ private:
+  static void Fill(EventMessage& msg) {
+    if (msg.completion == nullptr) return;
+    BinaryReader r(msg.bytes);
+    msg.completion->status = Status::OK();
+    msg.completion->fired_rules = {
+        static_cast<std::uint32_t>(Event::Deserialize(&r).caller)};
+  }
+
+  mutable Mutex mu_;
+  std::vector<EventMessage> held_events_ AIM_GUARDED_BY(mu_);
+  std::vector<std::pair<std::vector<std::uint8_t>,
+                        std::function<void(std::vector<std::uint8_t>&&)>>>
+      held_queries_ AIM_GUARDED_BY(mu_);
+};
+
+/// Raw protocol peer: hello handshake, then hand-built frames.
+class RawConnection {
+ public:
+  explicit RawConnection(std::uint16_t port) {
+    StatusOr<net::Socket> sock = net::TcpConnect("127.0.0.1", port, 2000);
+    AIM_CHECK(sock.ok());
+    sock_ = std::move(sock).value();
+    BinaryWriter hello;
+    net::EncodeHello(&hello);
+    Send(FrameType::kHello, 0, 1, hello);
+    FrameHeader header;
+    std::vector<std::uint8_t> payload;
+    AIM_CHECK(Read(&header, &payload));
+    AIM_CHECK(header.type == FrameType::kHelloReply);
+  }
+
+  bool Send(FrameType type, std::uint8_t flags, std::uint64_t request_id,
+            const BinaryWriter& payload) {
+    const std::vector<std::uint8_t> frame =
+        BuildFrame(type, flags, request_id, payload.buffer().data(),
+                   payload.size());
+    return net::SendAll(sock_, frame.data(), frame.size(), 2000).ok();
+  }
+
+  bool SendEventBatch(std::uint64_t request_id,
+                      const std::vector<EntityId>& callers) {
+    std::vector<EventMessage> batch(callers.size());
+    for (std::size_t i = 0; i < callers.size(); ++i) {
+      batch[i].bytes = EventBytes(callers[i]);
+    }
+    BinaryWriter payload;
+    net::EncodeEventBatch(batch, &payload);
+    return Send(FrameType::kEventBatch, 0, request_id, payload);
+  }
+
+  bool Read(FrameHeader* header, std::vector<std::uint8_t>* payload) {
+    std::uint8_t hb[kFrameHeaderSize];
+    if (!net::RecvAll(sock_, hb, kFrameHeaderSize, 5000).ok()) return false;
+    if (!DecodeFrameHeader(hb, header).ok()) return false;
+    payload->resize(header->payload_size);
+    return payload->empty() ||
+           net::RecvAll(sock_, payload->data(), payload->size(), 5000).ok();
+  }
+
+  /// Reads the next frame, which must be a kEventReply for `request_id`.
+  Status ReadEventReply(std::uint64_t request_id,
+                        std::vector<std::uint32_t>* fired) {
+    FrameHeader header;
+    std::vector<std::uint8_t> payload;
+    if (!Read(&header, &payload)) return Status::Internal("no frame");
+    EXPECT_EQ(header.type, FrameType::kEventReply);
+    EXPECT_EQ(header.request_id, request_id);
+    BinaryReader in(payload);
+    Status status;
+    EXPECT_TRUE(net::DecodeEventReply(&in, &status, fired).ok());
+    return status;
+  }
+
+ private:
+  net::Socket sock_;
+};
+
+TEST(NetReplyRoutingTest, QueryOvertakesHeldEventsOnOneClientConnection) {
+  ScriptedChannel node;
+  net::TcpServer server(&node, net::TcpServer::Options());
+  ASSERT_TRUE(server.Start().ok());
+  net::TcpClient::Options copts;
+  copts.port = server.port();
+  net::TcpClient client(copts);
+  ASSERT_TRUE(client.Connect().ok());
+
+  // Reply-wanted events, each on its own kEvent frame, all held by the node.
+  constexpr std::size_t kEvents = 4;
+  EventCompletion completions[kEvents];
+  std::vector<EventMessage> batch(kEvents);
+  for (std::size_t i = 0; i < kEvents; ++i) {
+    batch[i].bytes = EventBytes(100 + i);
+    batch[i].completion = &completions[i];
+  }
+  ASSERT_EQ(client.SubmitEventBatch(std::move(batch)), kEvents);
+  ASSERT_TRUE(node.AwaitHeld(kEvents));
+
+  // The query behind them on the same connection is answered at once.
+  std::atomic<bool> answered{false};
+  std::vector<std::uint8_t> answer;
+  ASSERT_TRUE(client.SubmitQuery({1, 2, 3},
+                                 [&](std::vector<std::uint8_t>&& bytes) {
+                                   answer = std::move(bytes);
+                                   answered.store(true,
+                                                  std::memory_order_release);
+                                 }));
+  for (int i = 0; i < 5000 && !answered.load(std::memory_order_acquire);
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(answered.load(std::memory_order_acquire));
+  EXPECT_EQ(answer, (std::vector<std::uint8_t>{1, 2, 3}));
+  for (const EventCompletion& c : completions) EXPECT_FALSE(c.done.load());
+
+  // Released, each event reply reaches its own completion.
+  node.Release();
+  for (std::size_t i = 0; i < kEvents; ++i) {
+    ASSERT_TRUE(completions[i].WaitFor(5000)) << i;
+    EXPECT_TRUE(completions[i].status.ok()) << completions[i].status.message();
+    EXPECT_EQ(completions[i].fired_rules,
+              (std::vector<std::uint32_t>{static_cast<std::uint32_t>(100 + i)}));
+  }
+  client.Close();
+}
+
+TEST(NetReplyRoutingTest, QueryReplyPrecedesHeldEventBatchReply) {
+  ScriptedChannel node;
+  net::TcpServer server(&node, net::TcpServer::Options());
+  ASSERT_TRUE(server.Start().ok());
+  RawConnection conn(server.port());
+
+  ASSERT_TRUE(conn.SendEventBatch(/*request_id=*/2, {7, 8, 9}));
+  ASSERT_TRUE(node.AwaitHeld(3));
+  BinaryWriter query;
+  query.PutU32(42);
+  ASSERT_TRUE(conn.Send(FrameType::kQuery, 0, /*request_id=*/3, query));
+
+  FrameHeader header;
+  std::vector<std::uint8_t> payload;
+  ASSERT_TRUE(conn.Read(&header, &payload));
+  EXPECT_EQ(header.type, FrameType::kQueryReply);
+  EXPECT_EQ(header.request_id, 3u);
+  EXPECT_EQ(payload, query.buffer());
+
+  node.Release();
+  std::vector<std::uint32_t> fired;
+  EXPECT_TRUE(conn.ReadEventReply(2, &fired).ok());
+  EXPECT_TRUE(fired.empty());  // batch replies carry no fired rules
+}
+
+TEST(NetReplyRoutingTest, PartlyAcceptedBatchGetsOneShutdownReply) {
+  ScriptedChannel node;
+  node.accept_limit = 2;
+  net::TcpServer server(&node, net::TcpServer::Options());
+  ASSERT_TRUE(server.Start().ok());
+  RawConnection conn(server.port());
+
+  ASSERT_TRUE(conn.SendEventBatch(/*request_id=*/5, {1, 2, 3, 4}));
+  ASSERT_TRUE(node.AwaitHeld(2));
+  node.Release();
+  std::vector<std::uint32_t> fired;
+  EXPECT_TRUE(conn.ReadEventReply(5, &fired).IsShutdown());
+
+  // Exactly one reply: the next frame on the connection answers the next
+  // request.
+  ASSERT_TRUE(conn.Send(FrameType::kQuery, 0, /*request_id=*/6,
+                        BinaryWriter()));
+  FrameHeader header;
+  std::vector<std::uint8_t> payload;
+  ASSERT_TRUE(conn.Read(&header, &payload));
+  EXPECT_EQ(header.type, FrameType::kQueryReply);
+  EXPECT_EQ(header.request_id, 6u);
+
+  // Nothing accepted at all: the reply goes out from the handler.
+  node.accept_limit = 0;
+  ASSERT_TRUE(conn.SendEventBatch(/*request_id=*/7, {1, 2}));
+  EXPECT_TRUE(conn.ReadEventReply(7, &fired).IsShutdown());
+}
+
+TEST(NetReplyRoutingTest, PerEventReplyCarriesFiredRules) {
+  ScriptedChannel node;
+  net::TcpServer server(&node, net::TcpServer::Options());
+  ASSERT_TRUE(server.Start().ok());
+  net::TcpClient::Options copts;
+  copts.port = server.port();
+  net::TcpClient client(copts);
+
+  EventCompletion completion;
+  ASSERT_TRUE(client.SubmitEvent(EventBytes(77), &completion));
+  ASSERT_TRUE(node.AwaitHeld(1));
+  node.Release();
+  ASSERT_TRUE(completion.WaitFor(5000));
+  EXPECT_TRUE(completion.status.ok());
+  EXPECT_EQ(completion.fired_rules, (std::vector<std::uint32_t>{77}));
+  client.Close();
+}
+
+TEST(NetReplyRoutingTest, CompletionsDoneInsideSubmitAreStillReplied) {
+  // A channel may store `done` inside Submit* without Complete(); the server
+  // must reply to those events anyway.
+  ScriptedChannel node;
+  node.complete_inline = true;
+  net::TcpServer server(&node, net::TcpServer::Options());
+  ASSERT_TRUE(server.Start().ok());
+  net::TcpClient::Options copts;
+  copts.port = server.port();
+  net::TcpClient client(copts);
+
+  std::vector<std::uint32_t> fired;
+  ASSERT_TRUE(client.EventRoundTrip(EventBytes(5), &fired).ok());
+  EXPECT_EQ(fired, (std::vector<std::uint32_t>{5}));
+
+  RawConnection conn(server.port());
+  ASSERT_TRUE(conn.SendEventBatch(/*request_id=*/9, {1, 2, 3}));
+  EXPECT_TRUE(conn.ReadEventReply(9, &fired).ok());
+  client.Close();
+}
+
+TEST(NetReplyRoutingTest, ServerDestroyedBeforeNodeDrains) {
+  // Reply closures must hold only per-connection state: the server (and
+  // its private metrics registry) is gone by the time the node completes.
+  ScriptedChannel node;
+  node.hold_queries = true;
+  auto server =
+      std::make_unique<net::TcpServer>(&node, net::TcpServer::Options());
+  ASSERT_TRUE(server->Start().ok());
+  net::TcpClient::Options copts;
+  copts.port = server->port();
+  net::TcpClient client(copts);
+  ASSERT_TRUE(client.Connect().ok());
+  RawConnection conn(server->port());
+
+  EventCompletion completion;
+  ASSERT_TRUE(client.SubmitEvent(EventBytes(1), &completion));
+  std::atomic<bool> answered{false};
+  ASSERT_TRUE(client.SubmitQuery({4}, [&](std::vector<std::uint8_t>&&) {
+    answered.store(true, std::memory_order_release);
+  }));
+  ASSERT_TRUE(conn.SendEventBatch(/*request_id=*/2, {1, 2}));
+  ASSERT_TRUE(node.AwaitHeld(4));
+
+  server.reset();
+  node.Release();
+
+  // The client saw the connection drop and failed both requests itself.
+  ASSERT_TRUE(completion.WaitFor(5000));
+  EXPECT_FALSE(completion.status.ok());
+  for (int i = 0; i < 5000 && !answered.load(std::memory_order_acquire);
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(answered.load(std::memory_order_acquire));
+  client.Close();
 }
 
 TEST_F(NetLoopbackTest, SubmitAfterCloseFails) {

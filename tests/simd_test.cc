@@ -1,6 +1,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -104,10 +105,16 @@ Value ConstantFor(ValueType type, std::int64_t raw) {
   return Value();
 }
 
+/// gtest names each case by the raw bytes of its param, so the padding
+/// after `type` is spelled out and zeroed; left implicit, it carried stack
+/// garbage (and ASLR'd addresses) into the test names.
 struct FilterCase {
   ValueType type;
+  std::uint8_t pad[3];
   std::uint32_t count;
 };
+static_assert(std::has_unique_object_representations_v<FilterCase>,
+              "FilterCase must have no implicit padding");
 
 class SimdFilterTest : public ::testing::TestWithParam<FilterCase> {};
 
@@ -178,7 +185,7 @@ INSTANTIATE_TEST_SUITE_P(
       std::vector<FilterCase> cases;
       for (ValueType t : kAllTypes) {
         for (std::uint32_t n : {0u, 1u, 7u, 8u, 9u, 64u, 1000u, 3072u}) {
-          cases.push_back({t, n});
+          cases.push_back({t, {}, n});
         }
       }
       return cases;
@@ -190,7 +197,7 @@ INSTANTIATE_TEST_SUITE_P(
       std::vector<FilterCase> cases;
       for (ValueType t : kAllTypes) {
         for (std::uint32_t n : {0u, 1u, 7u, 8u, 9u, 64u, 1000u, 3072u}) {
-          cases.push_back({t, n});
+          cases.push_back({t, {}, n});
         }
       }
       return cases;

@@ -3,16 +3,20 @@
 // while the client's single receiver thread dispatches all replies.
 // Validates the transport's exactly-once completion contract under
 // contention — every accepted request completes exactly once (reply,
-// deadline or disconnect), no completion is lost and none fires twice.
+// deadline or disconnect), no completion is lost and none fires twice —
+// also while event replies written from the node's ESP thread race client
+// disconnects, server stops and a node stop.
 
 #include <atomic>
 #include <chrono>
+#include <deque>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "aim/esp/event.h"
+#include "aim/net/frame.h"
 #include "aim/net/tcp_client.h"
 #include "aim/net/tcp_server.h"
 #include "aim/server/local_node_channel.h"
@@ -262,6 +266,168 @@ TEST_F(NetStressTest, SubmittersRaceDisconnectWithoutLosingCompletions) {
   EXPECT_EQ(total, static_cast<std::uint64_t>(kThreads) * per_thread);
   // The bounces are brief; the bulk of the traffic must get through.
   EXPECT_GT(completed_ok.load(), 0u);
+}
+
+TEST_F(NetStressTest, EventRepliesRaceDisconnectAndServerStop) {
+  StartCluster();
+
+  // Each submitter owns a TcpClient and sends 8-event batches (two of them
+  // reply-wanted, so two kEvent frames per batch) plus a query every fourth
+  // batch. A raw peer sends reply-wanted EVENT_BATCH frames, whose replies
+  // are written by whichever ESP-thread completion comes last. Meanwhile
+  // one client is closed, the server is stopped and restarted, and finally
+  // the node stops with submits still arriving (partly accepted batches).
+  // Every client completion counts its hook runs: accepted ones must run
+  // exactly once, refused ones never. Under ASan, a reply ticket that is
+  // never freed shows up as a leak at exit.
+
+  // Submitters run until the chaos below is over; the cap only bounds the
+  // memory of the completion slots.
+  const std::uint64_t max_batches = stress::Scaled(20'000);
+  constexpr int kThreads = 3;
+  constexpr int kEventsPerBatch = 8;
+
+  struct Slot {
+    EventCompletion completion;
+    std::atomic<int> runs{0};
+    bool accepted = false;
+  };
+  std::vector<std::deque<Slot>> slots(kThreads);
+  std::atomic<std::uint64_t> query_runs{0};
+  std::atomic<std::uint64_t> queries_accepted{0};
+  std::atomic<bool> stop_submitters{false};
+  std::atomic<bool> stop_raw{false};
+
+  const std::uint16_t port = server_->port();
+  std::vector<std::unique_ptr<net::TcpClient>> clients;
+  for (int t = 0; t < kThreads; ++t) {
+    net::TcpClient::Options copts;
+    copts.port = port;
+    copts.request_timeout_millis = 30'000;
+    copts.backoff_initial_millis = 1;
+    copts.backoff_max_millis = 20;
+    copts.metrics = &metrics_;
+    clients.push_back(std::make_unique<net::TcpClient>(copts));
+  }
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      QueryWorkload workload(schema_.get(), &dims_,
+                             static_cast<std::uint64_t>(2000 + t));
+      for (std::uint64_t b = 0;
+           b < max_batches && !stop_submitters.load(std::memory_order_acquire);
+           ++b) {
+        std::vector<EventMessage> batch(kEventsPerBatch);
+        std::vector<Slot*> wanted;
+        for (int i = 0; i < kEventsPerBatch; ++i) {
+          const EntityId caller = 1 + ((b * kEventsPerBatch + i) % kEntities);
+          batch[i].bytes = Wire(caller, static_cast<Timestamp>(b * 10 + i));
+          if (i % 4 == 3) {
+            Slot& slot = slots[t].emplace_back();
+            slot.completion.on_complete = [&slot] {
+              slot.runs.fetch_add(1, std::memory_order_relaxed);
+            };
+            batch[i].completion = &slot.completion;
+            wanted.push_back(&slot);
+          }
+        }
+        const std::size_t accepted =
+            clients[t]->SubmitEventBatch(std::move(batch));
+        // Events 3 and 7 carry the completions: accepted is a prefix.
+        for (std::size_t w = 0; w < wanted.size(); ++w) {
+          wanted[w]->accepted = 4 * w + 3 < accepted;
+        }
+        if (b % 4 == 0) {
+          BinaryWriter w;
+          workload.Make(1).Serialize(&w);
+          if (clients[t]->SubmitQuery(
+                  w.TakeBuffer(), [&](std::vector<std::uint8_t>&&) {
+                    query_runs.fetch_add(1, std::memory_order_relaxed);
+                  })) {
+            queries_accepted.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+        for (Slot* slot : wanted) {
+          if (slot->accepted) {
+            ASSERT_TRUE(slot->completion.WaitFor(60'000)) << "lost";
+          }
+        }
+        if (accepted < kEventsPerBatch) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      }
+    });
+  }
+
+  // Raw peer: reply-wanted EVENT_BATCH frames, reconnecting whenever the
+  // server goes away. It only needs to survive; the checks are the
+  // sanitizers'.
+  threads.emplace_back([&] {
+    std::uint64_t id = 1;
+    while (!stop_raw.load(std::memory_order_acquire)) {
+      StatusOr<net::Socket> sock = net::TcpConnect("127.0.0.1", port, 500);
+      if (!sock.ok()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        continue;
+      }
+      BinaryWriter hello;
+      net::EncodeHello(&hello);
+      std::vector<std::uint8_t> frame = net::BuildFrame(
+          net::FrameType::kHello, 0, 0, hello.buffer().data(), hello.size());
+      bool ok = net::SendAll(*sock, frame.data(), frame.size(), 1000).ok();
+      while (ok && !stop_raw.load(std::memory_order_acquire)) {
+        std::vector<EventMessage> batch(kEventsPerBatch);
+        for (int i = 0; i < kEventsPerBatch; ++i) {
+          batch[i].bytes = Wire(1 + (id * kEventsPerBatch + i) % kEntities,
+                                static_cast<Timestamp>(id));
+        }
+        BinaryWriter payload;
+        net::EncodeEventBatch(batch, &payload);
+        frame = net::BuildFrame(net::FrameType::kEventBatch, 0, id++,
+                                payload.buffer().data(), payload.size());
+        ok = net::SendAll(*sock, frame.data(), frame.size(), 1000).ok();
+        // Read whatever replies arrived (hello reply included); a dead
+        // connection ends the inner loop.
+        std::uint8_t buf[4096];
+        StatusOr<std::size_t> got = net::RecvSome(*sock, buf, sizeof(buf), 5);
+        if (!got.ok() && !got.status().IsDeadlineExceeded()) ok = false;
+      }
+    }
+  });
+
+  const auto pause = std::chrono::milliseconds(20 * stress::Scale());
+  std::this_thread::sleep_for(pause);
+  clients[0]->Close();  // its replies still in flight on the server
+  for (int bounce = 0; bounce < 2; ++bounce) {
+    std::this_thread::sleep_for(pause);
+    server_->Stop();
+    server_.reset();
+    net::TcpServer::Options sopts;
+    sopts.port = port;
+    sopts.metrics = &metrics_;
+    server_ = std::make_unique<net::TcpServer>(channel_.get(), sopts);
+    ASSERT_TRUE(server_->Start().ok());
+  }
+  std::this_thread::sleep_for(pause);
+  node_->Stop();  // drains; later submits are refused or partly accepted
+  std::this_thread::sleep_for(pause);
+  stop_submitters.store(true, std::memory_order_release);
+  for (std::size_t t = 0; t + 1 < threads.size(); ++t) threads[t].join();
+  stop_raw.store(true, std::memory_order_release);
+  threads.back().join();
+  for (auto& client : clients) client->Close();
+  server_->Stop();
+
+  std::uint64_t accepted = 0;
+  for (const std::deque<Slot>& per_thread : slots) {
+    for (const Slot& slot : per_thread) {
+      EXPECT_EQ(slot.runs.load(), slot.accepted ? 1 : 0);
+      accepted += slot.accepted ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(query_runs.load(), queries_accepted.load());
+  EXPECT_GT(accepted, 0u);
 }
 
 }  // namespace
